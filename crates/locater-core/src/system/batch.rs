@@ -1,17 +1,21 @@
-//! The deterministic sharded batch pipeline shared by
+//! The deterministic batch pipeline behind `Engines::locate_batch`, which
 //! [`Locater::locate_batch`](super::Locater::locate_batch),
 //! [`LocaterService::locate_batch`](super::LocaterService::locate_batch) and
-//! [`ShardedLocaterService::locate_batch`](super::ShardedLocaterService::locate_batch).
+//! [`ShardedLocaterService::locate_batch`](super::ShardedLocaterService::locate_batch)
+//! all delegate to. `Engines::locate_batch` gathers the model seeds from each
+//! device's home shard, freezes the union of the shard caches, calls
+//! `run_batch` and merges the outcome back to the owner shards; this module
+//! is the parallel middle.
 //!
 //! The pipeline is built for determinism: results are **identical for every
 //! `jobs` value** (including the sequential `jobs = 1` path) and are returned
 //! in query order. Three properties make that hold:
 //!
 //! 1. every query is answered against a *frozen* snapshot of the global
-//!    affinity graph (supplied by the caller — for the sharded service, the
-//!    union of every shard's cache), so no worker observes another worker's
-//!    cache warming — and, unlike per-query `locate` loops, no query observes
-//!    warming from *earlier batch queries* either;
+//!    affinity graph (supplied by the caller: the union of every shard's
+//!    cache), so no worker observes another worker's cache warming — and,
+//!    unlike per-query `locate` loops, no query observes warming from
+//!    *earlier batch queries* either;
 //! 2. queries are grouped **by device** — a device's queries are processed by
 //!    one worker in query order, so its lazily trained coarse model evolves
 //!    exactly as in the sequential path (worker-local model maps are seeded
@@ -89,7 +93,7 @@ pub(crate) fn wants_cache(items: &[BatchItem]) -> bool {
 /// into its worker's map without another clone. `frozen` is the immutable
 /// affinity-cache snapshot every worker reads. The caller owns applying
 /// [`BatchOutcome::contributions`] and [`BatchOutcome::trained`] back to the
-/// live state — see [`merge_into_engines`] for the single-cache case.
+/// live state.
 pub(crate) fn run_batch(
     engines: &Engines,
     store: &dyn EventRead,
@@ -196,63 +200,6 @@ pub(crate) fn run_batch(
     }
 }
 
-/// Collects the epoch-live model seeds for the batch items from one live model
-/// map (the single-cache deployments; the sharded service gathers seeds from
-/// each device's home shard instead).
-pub(crate) fn live_seeds(
-    engines: &Engines,
-    epochs: &dyn EpochRead,
-    items: &[BatchItem],
-) -> HashMap<DeviceId, DeviceCoarseModel> {
-    let models = engines.models.read();
-    let mut seeds = HashMap::new();
-    for item in items {
-        if let Ok(device) = item.device {
-            if let Some(entry) = models.get(&device) {
-                if entry.epoch == epochs.epoch_of(device) {
-                    seeds.entry(device).or_insert_with(|| entry.model.clone());
-                }
-            }
-        }
-    }
-    seeds
-}
-
-/// Applies a batch outcome to a single-cache engine: contributions merge into
-/// the global graph in query order, trained models are stamped with the
-/// devices' current epochs. (The sharded service routes the same effects to
-/// the owner shard of each edge / device instead.)
-pub(crate) fn merge_into_engines(
-    engines: &Engines,
-    epochs: &dyn EpochRead,
-    outcome: &BatchOutcome,
-) {
-    if !outcome.contributions.is_empty() {
-        let mut cache = engines.cache.write();
-        for contribution in &outcome.contributions {
-            cache.merge_local(
-                contribution.device,
-                &contribution.neighbors,
-                contribution.t,
-                epochs,
-            );
-        }
-    }
-    if !outcome.trained.is_empty() {
-        let mut models = engines.models.write();
-        for (device, model) in &outcome.trained {
-            let epoch = epochs.epoch_of(*device);
-            models.insert(
-                *device,
-                super::epoch::ModelEntry {
-                    model: model.clone(),
-                    epoch,
-                },
-            );
-        }
-    }
-}
-
 /// Answers one worker's queries (in query order) against the frozen cache,
 /// collecting answers, affinity contributions, and freshly trained models
 /// (untouched seed models are not reported back).
@@ -284,7 +231,7 @@ fn run_worker(
                 let use_cache = item.eff.cache == CacheMode::Enabled;
                 let plan = cache.filter(|_| use_cache).map(|cache| {
                     let neighbors = engines.fine_neighbors(store, &item.eff, device, t_q, region);
-                    engines.fine_plan(epochs, device, t_q, &neighbors, cache)
+                    engines.fine_plan(epochs, device, t_q, &neighbors, |_| cache)
                 });
                 let (mut fine, _) = engines.fine_exec(store, &item.eff, device, t_q, region, plan);
                 let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));

@@ -201,13 +201,13 @@ impl EpochCache {
         })
     }
 
-    /// Merges the local affinity graph of one answered query, evicting any edge
-    /// whose stamp went stale before recording into it (so stale samples never
-    /// mix with fresh ones).
-    pub fn merge_local(
+    /// Merges the local affinity graph of one answered query (or the part of
+    /// it this cache owns), evicting any edge whose stamp went stale before
+    /// recording into it (so stale samples never mix with fresh ones).
+    pub fn merge_local<'a>(
         &mut self,
         center: DeviceId,
-        contributions: &[NeighborContribution],
+        contributions: impl IntoIterator<Item = &'a NeighborContribution>,
         t: Timestamp,
         epochs: &dyn EpochRead,
     ) {

@@ -1,9 +1,11 @@
 //! The LOCATER system facade (paper §5): query engine + cleaning engine + caching
 //! engine behind the query API `Q = (device, time)`.
 //!
-//! Two entry points share one engine:
+//! Two entry points share one engine (`service::Engines`, which runs every
+//! locate and every batch):
 //!
-//! * [`LocaterService`] — the **live service**: owns a *mutable* event store,
+//! * [`LocaterService`] — the **live service** (a one-shard
+//!   [`ShardedLocaterService`]): owns a *mutable* event store,
 //!   ingests connectivity events while answering queries, and keeps the caching
 //!   engine correct through per-device epoch invalidation ([`epoch`]). Queries
 //!   go through the typed request/response layer ([`request`]):
@@ -264,7 +266,7 @@ impl Locater {
         Self {
             store,
             epochs: EpochTable::new(),
-            engines: Engines::new(config),
+            engines: Engines::new(config, 1),
         }
     }
 
@@ -280,7 +282,7 @@ impl Locater {
 
     /// Number of edges and samples currently held by the caching engine.
     pub fn cache_stats(&self) -> (usize, usize) {
-        self.engines.cache.read().stats()
+        self.engines.cache_stats()
     }
 
     /// Drops all cached affinities and per-device coarse models.
@@ -329,19 +331,8 @@ impl Locater {
                 eff,
             })
             .collect();
-        let seeds = batch::live_seeds(&self.engines, &self.epochs, &items);
-        let frozen = batch::wants_cache(&items).then(|| self.engines.cache.read().clone());
-        let outcome = batch::run_batch(
-            &self.engines,
-            &self.store,
-            &self.epochs,
-            &items,
-            jobs,
-            seeds,
-            frozen.as_ref(),
-        );
-        batch::merge_into_engines(&self.engines, &self.epochs, &outcome);
-        outcome.answers
+        self.engines
+            .locate_batch(&self.store, &self.epochs, &items, jobs)
     }
 
     /// Converts this frozen facade into a live [`LocaterService`], carrying the

@@ -1,6 +1,7 @@
-//! The live [`LocaterService`]: online ingestion + query answering over one
-//! mutable event store, and the shared query engine both it and the frozen
-//! [`Locater`](super::Locater) facade delegate to.
+//! The live [`LocaterService`], and the one query engine (`Engines`) that it,
+//! the [`ShardedLocaterService`] and the frozen [`Locater`](super::Locater)
+//! facade all run: the coarse → fine → cache-merge orchestration, the batch
+//! pipeline's seeding and merge-back, and the placement of cached state.
 //!
 //! ## Lifecycle
 //!
@@ -14,39 +15,46 @@
 //!    the next query over that device recomputes it.
 //!
 //! Concurrency: the store sits behind a `parking_lot::RwLock`. Queries hold a
-//! read lock for their duration (so many run in parallel); an ingest takes the
-//! write lock only for the appends themselves — one O(log n) append for
-//! [`LocaterService::ingest`], the whole batch for
+//! read lock for their whole duration — coarse-model training and the
+//! neighbor scan included — so many run in parallel, but an ingest waits for
+//! every in-flight query, training and all (taking training off the read
+//! guard is the ROADMAP's "Take coarse-model training off the hot path"
+//! item). An ingest takes the write lock only for the appends themselves —
+//! one O(log n) append for [`LocaterService::ingest`], the whole batch for
 //! [`LocaterService::ingest_batch`] (which is what makes its
 //! keep-prefix-on-error semantics atomic; chunk very large backfills if
-//! queries must not stall behind them) — never for model training or affinity
-//! scans.
+//! queries must not stall behind them). Training and the neighbor scan never
+//! hold the model-map or affinity-cache locks.
 
-use super::epoch::{EpochCache, EpochRead, ModelEntry};
+use super::batch::{self, BatchItem};
+use super::epoch::{EpochCache, EpochRead, EpochTable, ModelEntry};
 use super::request::{LocateRequest, LocateResponse};
 use super::shard::ShardedLocaterService;
 use super::{assemble_answer, Answer, CacheMode, LocaterConfig, QueryDiagnostics};
+use crate::cache::{edge_key, rank_by_weight};
 use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel};
 use crate::error::LocaterError;
-use crate::fine::{FineConfig, FineLocalizer, FineOutcome};
+use crate::fine::{FineConfig, FineLocalizer, FineOutcome, NeighborContribution};
 use locater_events::clock::Timestamp;
 use locater_events::{DeviceId, EventId, Gap};
 use locater_space::RegionId;
-use locater_store::{EventRead, EventStore, IngestError, RawEvent};
-use parking_lot::RwLock;
+use locater_store::{shard_of_device, EventRead, EventStore, IngestError, RawEvent};
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// The engine state shared by the frozen facade and the live service: the
-/// configuration, the two localizers, the epoch-stamped caching engine, and the
-/// per-device coarse model cache.
+/// The query engine: the configuration, the two localizers, and the cached
+/// state, partitioned by shard — one epoch-stamped affinity cache and one
+/// coarse-model map per shard. This is the one place that knows where cached
+/// state lives: edge `{a, b}` in the cache of `min(a, b)`'s home shard, a
+/// device's model (and epoch counter) in its home shard.
 #[derive(Debug)]
 pub(crate) struct Engines {
     pub(crate) config: LocaterConfig,
-    pub(crate) coarse: CoarseLocalizer,
-    pub(crate) fine: FineLocalizer,
-    pub(crate) cache: RwLock<EpochCache>,
-    pub(crate) models: RwLock<HashMap<DeviceId, ModelEntry>>,
+    coarse: CoarseLocalizer,
+    fine: FineLocalizer,
+    caches: Vec<RwLock<EpochCache>>,
+    models: Vec<RwLock<HashMap<DeviceId, ModelEntry>>>,
 }
 
 /// The per-request view of the engine configuration: the fine localizer to run
@@ -56,6 +64,18 @@ pub(crate) struct Engines {
 pub(crate) struct Effective {
     pub(crate) fine: FineLocalizer,
     pub(crate) cache: CacheMode,
+}
+
+/// Epoch view over per-shard tables: the table of a device's home shard is
+/// authoritative for it.
+pub(crate) struct ShardedEpochs<'a> {
+    pub(crate) tables: Vec<&'a EpochTable>,
+}
+
+impl EpochRead for ShardedEpochs<'_> {
+    fn epoch_of(&self, device: DeviceId) -> u64 {
+        self.tables[shard_of_device(device, self.tables.len())].of(device)
+    }
 }
 
 /// Resolves a (mac, device-id) target against a store.
@@ -93,9 +113,9 @@ pub(crate) enum ModelUse {
 /// order, cached pairwise affinities, and whether the graph was warm for the
 /// queried device. Extracted under the graph lock; executed lock-free.
 pub(crate) struct FinePlan {
-    pub(crate) order: Vec<DeviceId>,
-    pub(crate) cached: HashMap<DeviceId, f64>,
-    pub(crate) warm: bool,
+    order: Vec<DeviceId>,
+    cached: HashMap<DeviceId, f64>,
+    warm: bool,
 }
 
 /// Outcome of the model-free coarse checks: a trivial answer, or the gap that
@@ -106,14 +126,36 @@ enum CoarseShortcut {
 }
 
 impl Engines {
-    pub(crate) fn new(config: LocaterConfig) -> Self {
+    /// Engines for `shards` shards (at least one).
+    pub(crate) fn new(config: LocaterConfig, shards: usize) -> Self {
+        let shards = shards.max(1);
         Self {
             config,
             coarse: CoarseLocalizer::new(config.coarse),
             fine: FineLocalizer::new(config.fine),
-            cache: RwLock::new(EpochCache::new()),
-            models: RwLock::new(HashMap::new()),
+            caches: (0..shards).map(|_| RwLock::default()).collect(),
+            models: (0..shards).map(|_| RwLock::default()).collect(),
         }
+    }
+
+    /// Number of shards the cached state is partitioned into.
+    pub(crate) fn num_shards(&self) -> usize {
+        self.caches.len()
+    }
+
+    /// The home shard of a device: its timeline, epoch counter and model.
+    pub(crate) fn home(&self, device: DeviceId) -> usize {
+        shard_of_device(device, self.num_shards())
+    }
+
+    /// The shard whose cache holds the edge `{a, b}`.
+    fn owner(&self, a: DeviceId, b: DeviceId) -> usize {
+        self.home(edge_key(a, b).0)
+    }
+
+    /// Read access to one shard's affinity cache.
+    pub(crate) fn cache(&self, shard: usize) -> RwLockReadGuard<'_, EpochCache> {
+        self.caches[shard].read()
     }
 
     /// The per-request engine view with no overrides applied.
@@ -139,13 +181,9 @@ impl Engines {
         }
     }
 
-    /// Drops all cached affinities and per-device coarse models.
-    pub(crate) fn clear_cache(&self) {
-        self.cache.write().clear();
-        self.models.write().clear();
-    }
-
     /// Answers one query, returning the answer and per-query diagnostics.
+    /// Coarse and model state come from the queried device's home shard;
+    /// fine-step cache reads and writes route to each edge's owner shard.
     pub(crate) fn locate_detailed(
         &self,
         store: &dyn EventRead,
@@ -174,21 +212,33 @@ impl Engines {
         };
 
         // ---- Fine step ----------------------------------------------------
-        // The neighbor scan and the fine localization both run lock-free; the
-        // graph read lock covers only the plan extraction between them.
+        // The neighbor scan and the fine localization take no cache lock; the
+        // owner caches' read guards cover only the plan extraction between
+        // them, taken once each in ascending shard order.
         let plan = match eff.cache {
             CacheMode::Enabled => {
                 let neighbors = self.fine_neighbors(store, eff, device, t_q, region);
-                let cache = self.cache.read();
-                Some(self.fine_plan(epochs, device, t_q, &neighbors, &cache))
+                let mut needed = vec![false; self.num_shards()];
+                for &neighbor in &neighbors {
+                    needed[self.owner(device, neighbor)] = true;
+                }
+                let guards: Vec<Option<RwLockReadGuard<'_, EpochCache>>> = self
+                    .caches
+                    .iter()
+                    .zip(&needed)
+                    .map(|(cache, &needed)| needed.then(|| cache.read()))
+                    .collect();
+                Some(self.fine_plan(epochs, device, t_q, &neighbors, |neighbor| {
+                    guards[self.owner(device, neighbor)]
+                        .as_deref()
+                        .expect("owner cache guard was taken above")
+                }))
             }
             CacheMode::Disabled => None,
         };
         let (fine, cache_warm) = self.fine_exec(store, eff, device, t_q, region, plan);
         if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
-            self.cache
-                .write()
-                .merge_local(device, &fine.contributions, t_q, epochs);
+            self.merge_contributions(device, &fine.contributions, t_q, epochs);
         }
 
         let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));
@@ -202,13 +252,67 @@ impl Engines {
         (answer, diagnostics)
     }
 
+    /// Answers a batch of resolved items through the deterministic batch
+    /// pipeline (see [`super::batch`]): epoch-live model seeds come from each
+    /// device's home shard, every query reads a frozen union of the shard
+    /// caches, and afterwards contributions merge into each edge's owner
+    /// shard in query order and trained models into their home shards.
+    pub(crate) fn locate_batch(
+        &self,
+        store: &dyn EventRead,
+        epochs: &dyn EpochRead,
+        items: &[BatchItem],
+        jobs: usize,
+    ) -> Vec<Result<Answer, LocaterError>> {
+        let mut seeds: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
+        for item in items {
+            let Ok(device) = item.device else { continue };
+            if seeds.contains_key(&device) {
+                continue;
+            }
+            if let Some(entry) = self.models[self.home(device)].read().get(&device) {
+                if entry.epoch == epochs.epoch_of(device) {
+                    seeds.insert(device, entry.model.clone());
+                }
+            }
+        }
+
+        // Edge sets are disjoint across shards, so the union is exactly the
+        // cache a single-shard deployment would hold.
+        let frozen: Option<EpochCache> = batch::wants_cache(items).then(|| {
+            let mut caches = self.caches.iter().map(|cache| cache.read().clone());
+            let mut union = caches.next().expect("at least one shard");
+            caches.for_each(|cache| union.absorb(cache));
+            union
+        });
+
+        let outcome = batch::run_batch(self, store, epochs, items, jobs, seeds, frozen.as_ref());
+        for contribution in &outcome.contributions {
+            self.merge_contributions(
+                contribution.device,
+                &contribution.neighbors,
+                contribution.t,
+                epochs,
+            );
+        }
+        for (device, model) in outcome.trained {
+            let epoch = epochs.epoch_of(device);
+            self.models[self.home(device)]
+                .write()
+                .insert(device, ModelEntry { model, epoch });
+        }
+        outcome.answers
+    }
+
     /// Runs the coarse step, reusing the cached per-device model when it is
     /// still epoch-live and covers the query time. Returns the outcome and
     /// whether the model was reused.
     ///
-    /// Lock discipline is read-mostly: the reuse check and classification take
-    /// read locks, and expensive model training happens outside any lock, so
-    /// concurrent `locate` callers with warm models never serialize.
+    /// The reuse check and the insert of a fresh model take the home shard's
+    /// model-map lock only briefly; training runs without it, so warm queries
+    /// never wait on a concurrent fit. Training does run under whatever store
+    /// guard the caller holds (the services hold every shard's read guard;
+    /// see the ROADMAP item "Take coarse-model training off the hot path").
     pub(crate) fn coarse_outcome(
         &self,
         store: &dyn EventRead,
@@ -221,8 +325,9 @@ impl Engines {
             CoarseShortcut::Gap(gap) => gap,
         };
         let epoch = epochs.epoch_of(device);
+        let models = &self.models[self.home(device)];
         {
-            let models = self.models.read();
+            let models = models.read();
             if let Some(entry) = models.get(&device) {
                 if entry.epoch == epoch && self.model_covers(&entry.model, t_q) {
                     return (
@@ -237,12 +342,9 @@ impl Engines {
         // time could have overwritten with a model that does not cover `t_q`.
         let model = self.coarse.train_device_model(store, device, t_q);
         let outcome = self.coarse.classify_with_model(store, &model, &gap);
-        self.models
-            .write()
-            .insert(device, ModelEntry { model, epoch });
+        models.write().insert(device, ModelEntry { model, epoch });
         (outcome, false)
     }
-
     /// `true` if a cached model is still valid for a query at `t_q` (time
     /// coverage only; epoch liveness is checked by the callers).
     pub(crate) fn model_covers(&self, model: &DeviceCoarseModel, t_q: Timestamp) -> bool {
@@ -329,29 +431,30 @@ impl Engines {
     /// Extracts what the fine step needs from the affinity graph: the neighbor
     /// processing order, cached pairwise affinities (which replace the per-pair
     /// history scans of cold queries), and cache warmth. Only epoch-live edges
-    /// are visible. Callers take the graph lock only for this extraction; the
-    /// neighbor scan ([`Engines::fine_neighbors`]) and [`Engines::fine_exec`]
-    /// run lock-free.
-    pub(crate) fn fine_plan(
+    /// are visible. `cache_of(n)` is the cache holding the edge `{device, n}`:
+    /// the owner shard's guarded cache on the live path, the frozen union in a
+    /// batch. Callers hold cache locks only for this extraction; the neighbor
+    /// scan ([`Engines::fine_neighbors`]) and [`Engines::fine_exec`] take none.
+    pub(crate) fn fine_plan<'c>(
         &self,
         epochs: &dyn EpochRead,
         device: DeviceId,
         t_q: Timestamp,
         neighbors: &[DeviceId],
-        cache: &EpochCache,
+        cache_of: impl Fn(DeviceId) -> &'c EpochCache,
     ) -> FinePlan {
         let warm = neighbors
             .iter()
-            .any(|&n| !cache.samples(device, n, epochs).is_empty());
+            .any(|&n| !cache_of(n).samples(device, n, epochs).is_empty());
         let cached: HashMap<DeviceId, f64> = neighbors
             .iter()
             .filter_map(|&n| {
-                cache
+                cache_of(n)
                     .cached_pair_affinity(device, n, t_q, epochs)
                     .map(|affinity| (n, affinity))
             })
             .collect();
-        let order = cache.order_neighbors(device, neighbors, t_q, epochs);
+        let order = rank_by_weight(neighbors, |n| cache_of(n).weight(device, n, t_q, epochs));
         FinePlan {
             order,
             cached,
@@ -383,6 +486,66 @@ impl Engines {
             eff.fine
                 .locate_with_cache(store, device, t_q, region, Some(&order), Some(&lookup));
         (fine, warm)
+    }
+
+    /// Merges one answered query's local affinity graph into the owner
+    /// shards' caches (one write lock per owner, in ascending shard order).
+    pub(crate) fn merge_contributions(
+        &self,
+        center: DeviceId,
+        contributions: &[NeighborContribution],
+        t: Timestamp,
+        epochs: &dyn EpochRead,
+    ) {
+        for (shard, cache) in self.caches.iter().enumerate() {
+            let mut owned = contributions
+                .iter()
+                .filter(|contribution| self.owner(center, contribution.device) == shard)
+                .peekable();
+            if owned.peek().is_some() {
+                cache.write().merge_local(center, owned, t, epochs);
+            }
+        }
+    }
+
+    /// Edges and samples physically held across all shard caches, stale ones
+    /// included.
+    pub(crate) fn cache_stats(&self) -> (usize, usize) {
+        self.caches.iter().fold((0, 0), |(edges, samples), cache| {
+            let (e, s) = cache.read().stats();
+            (edges + e, samples + s)
+        })
+    }
+
+    /// Edges and samples live under `epochs` across all shard caches.
+    pub(crate) fn live_cache_stats(&self, epochs: &dyn EpochRead) -> (usize, usize) {
+        self.caches.iter().fold((0, 0), |(edges, samples), cache| {
+            let (e, s) = cache.read().live_stats(epochs);
+            (edges + e, samples + s)
+        })
+    }
+
+    /// Evicts the affinity edges and coarse models that are stale under
+    /// `epochs`, returning `(edges_evicted, models_evicted)`.
+    pub(crate) fn purge_stale(&self, epochs: &dyn EpochRead) -> (usize, usize) {
+        let mut edges = 0usize;
+        let mut models_evicted = 0usize;
+        for (cache, models) in self.caches.iter().zip(&self.models) {
+            edges += cache.write().purge_stale(epochs);
+            let mut models = models.write();
+            let before = models.len();
+            models.retain(|&device, entry| entry.epoch == epochs.epoch_of(device));
+            models_evicted += before - models.len();
+        }
+        (edges, models_evicted)
+    }
+
+    /// Drops all cached affinities and per-device coarse models.
+    pub(crate) fn clear_cache(&self) {
+        for (cache, models) in self.caches.iter().zip(&self.models) {
+            cache.write().clear();
+            models.write().clear();
+        }
     }
 }
 
@@ -435,7 +598,7 @@ impl LocaterService {
 
     pub(crate) fn from_parts(store: EventStore, engines: Engines) -> Self {
         Self {
-            inner: ShardedLocaterService::from_parts_single(store, engines),
+            inner: ShardedLocaterService::from_parts(store, engines),
         }
     }
 
@@ -569,9 +732,9 @@ impl LocaterService {
         self.inner.live_cache_stats()
     }
 
-    /// Eagerly evicts stale affinity edges and stale/expired coarse models,
-    /// returning `(edges_evicted, models_evicted)`. Optional maintenance —
-    /// queries never observe stale state either way.
+    /// Eagerly evicts epoch-stale affinity edges and coarse models, returning
+    /// `(edges_evicted, models_evicted)`. Optional maintenance — queries never
+    /// observe stale state either way.
     pub fn purge_stale(&self) -> (usize, usize) {
         self.inner.purge_stale()
     }

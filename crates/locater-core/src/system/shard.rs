@@ -5,17 +5,22 @@
 //! localization, δ estimation, epochs and model state are per-device, and only
 //! the fine-grained affinity step reads across devices. The
 //! [`ShardedLocaterService`] exploits that: each shard owns its own segmented
-//! [`EventStore`], `RwLock`, [`EpochTable`] and caches (affinity edges and
-//! coarse models), so **concurrent ingests for different devices never contend
-//! on a lock**. Cross-device reads go through a read-only multi-shard view
+//! [`EventStore`], [`EpochTable`] and write-ahead log behind one `RwLock`,
+//! plus its slice of the engine's caches (affinity edges and coarse models),
+//! so **concurrent ingests for different devices never contend on a lock**.
+//! Cross-device reads go through a read-only multi-shard view
 //! ([`locater_store::ShardedRead`]) assembled from per-shard read guards taken
 //! in ascending shard order.
+//!
+//! This type keeps the store partitions, WAL, compaction and durability.
+//! Queries and batches delegate to the one query engine (`service::Engines`),
+//! which also owns the placement of cached state.
 //!
 //! ## State placement
 //!
 //! | State | Lives in |
 //! |---|---|
-//! | device `d`'s timeline, epoch counter, coarse model | `d`'s home shard (`shard_of_device(d, n)`) |
+//! | device `d`'s timeline, epoch counter, coarse model | `d`'s home shard ([`ShardedLocaterService::home_shard`]) |
 //! | device table (ids, MACs, δs) | replicated in every shard store |
 //! | affinity edge `{a, b}` | the home shard of `min(a, b)` |
 //!
@@ -31,15 +36,13 @@
 //! single-shard deployment would hold. `tests/shard_equivalence.rs` enforces
 //! this for LCG-seeded ingest/locate interleavings at N ∈ {2, 3, 8}.
 
-use super::batch::{self, BatchItem};
-use super::epoch::{EpochCache, EpochRead, EpochTable, ModelEntry};
+use super::batch::BatchItem;
+use super::epoch::{EpochRead, EpochTable};
 use super::request::{LocateRequest, LocateResponse};
-use super::service::{resolve_target, Engines, FinePlan};
-use super::{assemble_answer, Answer, CacheMode, LocaterConfig, Location, QueryDiagnostics};
-use crate::cache::{edge_key, rank_by_weight};
-use crate::coarse::{CoarseLabel, DeviceCoarseModel};
+use super::service::{resolve_target, Engines, ShardedEpochs};
+use super::{Answer, LocaterConfig, Location};
+use crate::coarse::CoarseLabel;
 use crate::error::LocaterError;
-use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::validity::estimate_delta_events;
 use locater_events::{DeviceId, EventId};
@@ -48,12 +51,11 @@ use locater_store::recovery::{
     initialize_wal, recover_store_io, write_checkpoint_io, RecoveryReport,
 };
 use locater_store::{
-    compaction, shard_of_device, CompactionReport, Durability, DwellSummary, EventRead, EventStore,
-    IngestError, RawEvent, RealIo, ShardWal, ShardedRead, StorageIo, StoreError, WalError,
-    WalRecord, WalShardStats,
+    compaction, CompactionReport, Durability, DwellSummary, EventRead, EventStore, IngestError,
+    RawEvent, RealIo, ShardWal, ShardedRead, StorageIo, StoreError, WalError, WalRecord,
+    WalShardStats,
 };
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,14 +71,6 @@ struct ShardLive {
     store: EventStore,
     epochs: EpochTable,
     wal: Option<ShardWal>,
-}
-
-/// One shard: its mutable `(store, epochs)` pair plus its own engines (config,
-/// localizers, affinity cache, model cache).
-#[derive(Debug)]
-struct Shard {
-    live: RwLock<ShardLive>,
-    engines: Engines,
 }
 
 /// Per-shard observability counters reported by
@@ -163,16 +157,13 @@ pub struct WalStatus {
     pub per_shard: Vec<WalShardStats>,
 }
 
-/// Epoch view over the per-shard tables: the table of a device's home shard is
-/// authoritative for it.
-struct ShardedEpochs<'a> {
-    tables: Vec<&'a EpochTable>,
-}
-
-impl EpochRead for ShardedEpochs<'_> {
-    fn epoch_of(&self, device: DeviceId) -> u64 {
-        self.tables[shard_of_device(device, self.tables.len())].of(device)
-    }
+/// The store and epoch views over a set of shard read guards.
+fn views<'a>(guards: &'a [RwLockReadGuard<'_, ShardLive>]) -> (ShardedRead<'a>, ShardedEpochs<'a>) {
+    let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
+    let epochs = ShardedEpochs {
+        tables: guards.iter().map(|guard| &guard.epochs).collect(),
+    };
+    (view, epochs)
 }
 
 /// The sharded live LOCATER service: online ingestion + query answering over
@@ -209,7 +200,10 @@ impl EpochRead for ShardedEpochs<'_> {
 /// ```
 #[derive(Debug)]
 pub struct ShardedLocaterService {
-    shards: Vec<Shard>,
+    /// Each shard's mutable `(store, epochs, wal)` triple, one lock each.
+    live: Vec<RwLock<ShardLive>>,
+    /// The query engine, with the per-shard caches and model maps.
+    engines: Engines,
     /// Global event-id sequence: ids stay globally sequential across shards
     /// (each append aligns the owning shard's counter from here), so the
     /// rejoined store is bit-identical to a single-shard deployment's.
@@ -232,21 +226,28 @@ impl ShardedLocaterService {
     /// Creates a service over an initial (possibly empty) store, partitioned
     /// into `shards` per-device shards (clamped to at least 1).
     pub fn new(store: EventStore, config: LocaterConfig, shards: usize) -> Self {
+        Self::from_parts(store, Engines::new(config, shards))
+    }
+
+    /// Builds a service around existing engines (cache and model state carry
+    /// over), splitting `store` into the engines' shard count — also the
+    /// [`Locater::into_service`](super::Locater::into_service) conversion path.
+    pub(crate) fn from_parts(store: EventStore, engines: Engines) -> Self {
         let next_event_id = AtomicU64::new(store.next_event_id());
-        let shards = store
-            .split(shards.max(1))
+        let live = store
+            .split(engines.num_shards())
             .into_iter()
-            .map(|piece| Shard {
-                live: RwLock::new(ShardLive {
-                    store: piece,
+            .map(|store| {
+                RwLock::new(ShardLive {
+                    store,
                     epochs: EpochTable::new(),
                     wal: None,
-                }),
-                engines: Engines::new(config),
+                })
             })
             .collect();
         Self {
-            shards,
+            live,
+            engines,
             next_event_id,
             durability: None,
             last_checkpoint: Mutex::new(None),
@@ -275,8 +276,8 @@ impl ShardedLocaterService {
         let (store, report) = recover_store_io(&durability.dir, store, durability.io.as_ref())?;
         let writers = initialize_wal(&durability, &store, shards.max(1))?.0;
         let mut service = Self::new(store, config, shards);
-        for (shard, wal) in service.shards.iter().zip(writers) {
-            shard.live.write().wal = Some(wal);
+        for (live, wal) in service.live.iter().zip(writers) {
+            live.write().wal = Some(wal);
         }
         *service.last_checkpoint.lock() = Some(Instant::now());
         service.checkpoints.store(1, Ordering::Relaxed);
@@ -295,52 +296,30 @@ impl ShardedLocaterService {
         Ok(Self::new(EventStore::load_snapshot(path)?, config, shards))
     }
 
-    /// Builds a single-shard service around existing engines (cache and model
-    /// state carry over) — the [`Locater::into_service`](super::Locater::into_service)
-    /// conversion path.
-    pub(crate) fn from_parts_single(store: EventStore, engines: Engines) -> Self {
-        let next_event_id = AtomicU64::new(store.next_event_id());
-        Self {
-            shards: vec![Shard {
-                live: RwLock::new(ShardLive {
-                    store,
-                    epochs: EpochTable::new(),
-                    wal: None,
-                }),
-                engines,
-            }],
-            next_event_id,
-            durability: None,
-            last_checkpoint: Mutex::new(None),
-            checkpoints: AtomicU64::new(0),
-            compaction: Mutex::new(CompactionState::default()),
-        }
-    }
-
     /// Number of shards the service is partitioned into.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.live.len()
     }
 
     /// The home shard of a device under this service's shard count.
     pub fn home_shard(&self, device: DeviceId) -> usize {
-        shard_of_device(device, self.shards.len())
+        self.engines.home(device)
     }
 
     /// The system configuration (per-request overrides are applied on top).
     pub fn config(&self) -> &LocaterConfig {
-        &self.shards[0].engines.config
+        &self.engines.config
     }
 
     /// Read guards on every shard, taken in ascending shard order (the
     /// service-wide lock order; writers acquire in the same order).
     fn read_all(&self) -> Vec<RwLockReadGuard<'_, ShardLive>> {
-        self.shards.iter().map(|shard| shard.live.read()).collect()
+        self.live.iter().map(RwLock::read).collect()
     }
 
     /// Write guards on every shard, in ascending shard order.
     fn write_all(&self) -> Vec<RwLockWriteGuard<'_, ShardLive>> {
-        self.shards.iter().map(|shard| shard.live.write()).collect()
+        self.live.iter().map(RwLock::write).collect()
     }
 
     // ------------------------------------------------------------------
@@ -371,10 +350,9 @@ impl ShardedLocaterService {
         ap_name: &str,
         request_id: Option<u64>,
     ) -> Result<EventId, IngestError> {
-        let known = self.shards[0].live.read().store.device_id(mac);
+        let known = self.live[0].read().store.device_id(mac);
         if let Some(device) = known {
-            let home = self.home_shard(device);
-            let mut live = self.shards[home].live.write();
+            let mut live = self.live[self.home_shard(device)].write();
             live.store.validate_raw(t, ap_name)?;
             let id = self.sequenced_ingest(&mut live, mac, t, ap_name, request_id)?;
             live.epochs.bump(device);
@@ -384,7 +362,7 @@ impl ShardedLocaterService {
         // replicated tables assign the same dense id everywhere.
         let mut guards = self.write_all();
         let device = Self::intern_everywhere(&mut guards, mac, t, ap_name)?;
-        let home = shard_of_device(device, guards.len());
+        let home = self.home_shard(device);
         let id = self.sequenced_ingest(&mut guards[home], mac, t, ap_name, request_id)?;
         guards[home].epochs.bump(device);
         Ok(id)
@@ -439,7 +417,7 @@ impl ShardedLocaterService {
                 None => Self::intern_everywhere(&mut guards, &event.mac, event.t, &event.ap)?,
             };
             guards[0].store.validate_raw(event.t, &event.ap)?;
-            let home = shard_of_device(device, guards.len());
+            let home = self.home_shard(device);
             // Batch tokens are not persisted per event: a batch is acked only
             // as a whole, and a partially durable batch must re-execute on
             // retry, so its replay window stays in-memory (see the server's
@@ -482,12 +460,11 @@ impl ShardedLocaterService {
     /// structure, so all cached state is invalidated.
     pub fn reestimate_deltas(&self) {
         let mut guards = self.write_all();
-        let shards = guards.len();
         let num_devices = guards[0].store.num_devices();
         let deltas: Vec<Timestamp> = (0..num_devices)
             .map(|idx| {
                 let device = DeviceId::new(idx as u32);
-                let home = &guards[shard_of_device(device, shards)].store;
+                let home = &guards[self.home_shard(device)].store;
                 estimate_delta_events(home.timeline_of(device).iter(), home.validity_config())
             })
             .collect();
@@ -506,15 +483,13 @@ impl ShardedLocaterService {
         for guard in guards.iter_mut() {
             guard.store.set_delta(device, delta);
         }
-        let home = shard_of_device(device, guards.len());
-        guards[home].epochs.bump(device);
+        guards[self.home_shard(device)].epochs.bump(device);
     }
 
     /// Bumps one device's epoch without touching the store, invalidating every
     /// cached value derived from its history.
     pub fn invalidate_device(&self, device: DeviceId) {
-        self.shards[self.home_shard(device)]
-            .live
+        self.live[self.home_shard(device)]
             .write()
             .epochs
             .bump(device);
@@ -536,7 +511,7 @@ impl ShardedLocaterService {
     /// Resolves the device a request refers to (the device table is replicated,
     /// so one shard answers).
     pub fn resolve(&self, request: &LocateRequest) -> Result<DeviceId, LocaterError> {
-        let live = self.shards[0].live.read();
+        let live = self.live[0].read();
         resolve_target(&live.store, request.mac.as_deref(), request.device)
     }
 
@@ -546,15 +521,12 @@ impl ShardedLocaterService {
     /// in-flight queries touching their shard.
     pub fn locate(&self, request: &LocateRequest) -> Result<LocateResponse, LocaterError> {
         let guards = self.read_all();
-        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
+        let (view, epochs) = views(&guards);
         let device = resolve_target(&view, request.mac.as_deref(), request.device)?;
-        let home = self.home_shard(device);
-        let eff = self.shards[home].engines.effective_for(request);
-        let (answer, diagnostics) =
-            self.locate_detailed(&view, &epochs, device, request.t, &eff, home);
+        let eff = self.engines.effective_for(request);
+        let (answer, diagnostics) = self
+            .engines
+            .locate_detailed(&view, &epochs, device, request.t, &eff);
         Ok(LocateResponse {
             answer,
             device_epoch: epochs.epoch_of(device),
@@ -570,14 +542,11 @@ impl ShardedLocaterService {
     /// neighbor scan, no fine-step iterations, no cache writes).
     pub fn locate_coarse(&self, request: &LocateRequest) -> Result<LocateResponse, LocaterError> {
         let guards = self.read_all();
-        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
+        let (view, epochs) = views(&guards);
         let device = resolve_target(&view, request.mac.as_deref(), request.device)?;
-        let home = self.home_shard(device);
-        let engines = &self.shards[home].engines;
-        let (coarse, _model_reused) = engines.coarse_outcome(&view, &epochs, device, request.t);
+        let (coarse, _model_reused) = self
+            .engines
+            .coarse_outcome(&view, &epochs, device, request.t);
         let answer = Answer {
             device,
             t: request.t,
@@ -596,140 +565,6 @@ impl ShardedLocaterService {
         })
     }
 
-    /// The sharded analogue of [`Engines::locate_detailed`]: coarse and model
-    /// state come from the queried device's home shard, fine-step cache reads
-    /// and writes route to each edge's owner shard.
-    fn locate_detailed(
-        &self,
-        view: &ShardedRead<'_>,
-        epochs: &dyn EpochRead,
-        device: DeviceId,
-        t_q: Timestamp,
-        eff: &super::service::Effective,
-        home: usize,
-    ) -> (Answer, QueryDiagnostics) {
-        let engines = &self.shards[home].engines;
-        let start = Instant::now();
-
-        let (coarse, model_reused) = engines.coarse_outcome(view, epochs, device, t_q);
-        let region = match coarse.label {
-            CoarseLabel::Outside => {
-                let answer = assemble_answer(device, t_q, &coarse, None);
-                let diagnostics = QueryDiagnostics {
-                    coarse,
-                    fine: None,
-                    elapsed: start.elapsed(),
-                    coarse_model_reused: model_reused,
-                    cache_warm: false,
-                };
-                return (answer, diagnostics);
-            }
-            CoarseLabel::Inside(region) => region,
-        };
-
-        let plan = match eff.cache {
-            CacheMode::Enabled => {
-                let neighbors = engines.fine_neighbors(view, eff, device, t_q, region);
-                Some(self.fine_plan(epochs, device, t_q, &neighbors))
-            }
-            CacheMode::Disabled => None,
-        };
-        let (fine, cache_warm) = engines.fine_exec(view, eff, device, t_q, region, plan);
-        if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
-            self.merge_contributions(device, &fine.contributions, t_q, epochs);
-        }
-
-        let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));
-        let diagnostics = QueryDiagnostics {
-            coarse,
-            fine: Some(fine),
-            elapsed: start.elapsed(),
-            coarse_model_reused: model_reused,
-            cache_warm,
-        };
-        (answer, diagnostics)
-    }
-
-    /// Extracts the fine-step plan from the owner shards' caches: each edge
-    /// `{device, n}` is read from the cache of `min(device, n)`'s home shard.
-    /// The needed cache read guards are taken once, in ascending shard order.
-    fn fine_plan(
-        &self,
-        epochs: &dyn EpochRead,
-        device: DeviceId,
-        t_q: Timestamp,
-        neighbors: &[DeviceId],
-    ) -> FinePlan {
-        let shards = self.shards.len();
-        let owner_of = |neighbor: DeviceId| shard_of_device(edge_key(device, neighbor).0, shards);
-        let mut needed = vec![false; shards];
-        for &neighbor in neighbors {
-            needed[owner_of(neighbor)] = true;
-        }
-        let caches: Vec<Option<RwLockReadGuard<'_, EpochCache>>> = self
-            .shards
-            .iter()
-            .zip(&needed)
-            .map(|(shard, &needed)| needed.then(|| shard.engines.cache.read()))
-            .collect();
-        let cache_of = |neighbor: DeviceId| -> &EpochCache {
-            caches[owner_of(neighbor)]
-                .as_deref()
-                .expect("owner cache guard was taken above")
-        };
-        let warm = neighbors
-            .iter()
-            .any(|&n| !cache_of(n).samples(device, n, epochs).is_empty());
-        let cached: HashMap<DeviceId, f64> = neighbors
-            .iter()
-            .filter_map(|&n| {
-                cache_of(n)
-                    .cached_pair_affinity(device, n, t_q, epochs)
-                    .map(|affinity| (n, affinity))
-            })
-            .collect();
-        let order = rank_by_weight(neighbors, |n| cache_of(n).weight(device, n, t_q, epochs));
-        FinePlan {
-            order,
-            cached,
-            warm,
-        }
-    }
-
-    /// Merges one answered query's local affinity graph into the owner shards'
-    /// caches (write locks taken per owner, in ascending shard order).
-    fn merge_contributions(
-        &self,
-        center: DeviceId,
-        contributions: &[NeighborContribution],
-        t: Timestamp,
-        epochs: &dyn EpochRead,
-    ) {
-        let shards = self.shards.len();
-        if shards == 1 {
-            self.shards[0]
-                .engines
-                .cache
-                .write()
-                .merge_local(center, contributions, t, epochs);
-            return;
-        }
-        let mut per_owner: Vec<Vec<NeighborContribution>> = vec![Vec::new(); shards];
-        for contribution in contributions {
-            let owner = shard_of_device(edge_key(center, contribution.device).0, shards);
-            per_owner[owner].push(*contribution);
-        }
-        for (shard, subset) in self.shards.iter().zip(per_owner) {
-            if !subset.is_empty() {
-                shard
-                    .engines
-                    .cache
-                    .write()
-                    .merge_local(center, &subset, t, epochs);
-            }
-        }
-    }
-
     /// Answers a batch of requests through the deterministic batch pipeline
     /// (see [`super::batch`]): requests are grouped by device across `jobs`
     /// worker threads, answered against a frozen union snapshot of every
@@ -743,82 +578,18 @@ impl ShardedLocaterService {
         jobs: usize,
     ) -> Vec<Result<LocateResponse, LocaterError>> {
         let guards = self.read_all();
-        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let shards = self.shards.len();
-        let engines = &self.shards[0].engines;
+        let (view, epochs) = views(&guards);
         let items: Vec<BatchItem> = requests
             .iter()
             .map(|request| BatchItem {
                 t: request.t,
                 device: resolve_target(&view, request.mac.as_deref(), request.device),
-                eff: engines.effective_for(request),
+                eff: self.engines.effective_for(request),
             })
             .collect();
-
-        // Epoch-live model seeds come from each device's home shard.
-        let mut seeds: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
-        for item in &items {
-            let Ok(device) = item.device else { continue };
-            if seeds.contains_key(&device) {
-                continue;
-            }
-            let home = shard_of_device(device, shards);
-            let models = self.shards[home].engines.models.read();
-            if let Some(entry) = models.get(&device) {
-                if entry.epoch == epochs.epoch_of(device) {
-                    seeds.insert(device, entry.model.clone());
-                }
-            }
-        }
-
-        // The frozen snapshot is the union of every shard's cache — edge sets
-        // are disjoint (each edge lives in its owner shard), so the union is
-        // exactly the cache a single-shard deployment would hold.
-        let frozen: Option<EpochCache> = batch::wants_cache(&items).then(|| {
-            let mut union = self.shards[0].engines.cache.read().clone();
-            for shard in &self.shards[1..] {
-                union.absorb(shard.engines.cache.read().clone());
-            }
-            union
-        });
-
-        let outcome = batch::run_batch(
-            engines,
-            &view,
-            &epochs,
-            &items,
-            jobs,
-            seeds,
-            frozen.as_ref(),
-        );
-
-        // Post-join merge: contributions route to edge owners in query order,
-        // trained models to their devices' home shards.
-        for contribution in &outcome.contributions {
-            self.merge_contributions(
-                contribution.device,
-                &contribution.neighbors,
-                contribution.t,
-                &epochs,
-            );
-        }
-        for (&device, model) in &outcome.trained {
-            let home = shard_of_device(device, shards);
-            self.shards[home].engines.models.write().insert(
-                device,
-                ModelEntry {
-                    model: model.clone(),
-                    epoch: epochs.epoch_of(device),
-                },
-            );
-        }
-
+        let answers = self.engines.locate_batch(&view, &epochs, &items, jobs);
         let events_seen = view.num_events();
-        outcome
-            .answers
+        answers
             .into_iter()
             .zip(&items)
             .map(|(answer, item)| {
@@ -843,28 +614,24 @@ impl ShardedLocaterService {
     /// The current ingest epoch of a device (0 for devices never ingested
     /// through the service).
     pub fn device_epoch(&self, device: DeviceId) -> u64 {
-        self.shards[self.home_shard(device)]
-            .live
-            .read()
-            .epochs
-            .of(device)
+        self.live[self.home_shard(device)].read().epochs.of(device)
     }
 
     /// The space metadata the service answers over.
     pub fn space(&self) -> Arc<Space> {
-        self.shards[0].live.read().store.space().clone()
+        self.live[0].read().store.space().clone()
     }
 
     /// Looks up a device id by MAC address / log identifier.
     pub fn device_id(&self, mac: &str) -> Option<DeviceId> {
-        self.shards[0].live.read().store.device_id(mac)
+        self.live[0].read().store.device_id(mac)
     }
 
     /// Runs `f` with read access to one shard's store partition (the lock is
     /// held for the duration of the closure — keep it short). With one shard,
     /// shard 0 holds the whole dataset.
     pub fn with_shard_store<R>(&self, shard: usize, f: impl FnOnce(&EventStore) -> R) -> R {
-        f(&self.shards[shard].live.read().store)
+        f(&self.live[shard].read().store)
     }
 
     /// A combined clone of the current store — the basis of the service's
@@ -983,8 +750,8 @@ impl ShardedLocaterService {
         let mut cut = horizon;
         let mut summaries: Vec<DwellSummary> = Vec::new();
         let mut spills: Vec<EventStore> = Vec::new();
-        for shard in &self.shards {
-            let report = shard.live.write().store.compact(horizon);
+        for live in &self.live {
+            let report = live.write().store.compact(horizon);
             cut = report.cut;
             if report.evicted_events == 0 {
                 continue;
@@ -1107,56 +874,36 @@ impl ShardedLocaterService {
     /// Number of distinct devices currently known (the device table is
     /// replicated, so one shard answers).
     pub fn num_devices(&self) -> usize {
-        self.shards[0].live.read().store.num_devices()
+        self.live[0].read().store.num_devices()
     }
 
     /// Number of edges and samples physically held across all shard caches,
     /// including stale ones awaiting eviction.
     pub fn cache_stats(&self) -> (usize, usize) {
-        let mut edges = 0usize;
-        let mut samples = 0usize;
-        for shard in &self.shards {
-            let (e, s) = shard.engines.cache.read().stats();
-            edges += e;
-            samples += s;
-        }
-        (edges, samples)
+        self.engines.cache_stats()
     }
 
     /// Number of edges and samples live under the current epochs across all
     /// shard caches — the state queries can actually observe.
     pub fn live_cache_stats(&self) -> (usize, usize) {
         let guards = self.read_all();
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let mut edges = 0usize;
-        let mut samples = 0usize;
-        for shard in &self.shards {
-            let (e, s) = shard.engines.cache.read().live_stats(&epochs);
-            edges += e;
-            samples += s;
-        }
-        (edges, samples)
+        self.engines.live_cache_stats(&views(&guards).1)
     }
 
     /// Per-shard event/device/cache counters (what `locater-cli serve`'s
     /// `stats` command prints).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let guards = self.read_all();
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let shards = self.shards.len();
-        self.shards
+        let (_, epochs) = views(&guards);
+        guards
             .iter()
             .enumerate()
-            .map(|(index, shard)| {
-                let store = &guards[index].store;
+            .map(|(index, live)| {
+                let store = &live.store;
                 let owned_devices = (0..store.num_devices())
-                    .filter(|&idx| shard_of_device(DeviceId::new(idx as u32), shards) == index)
+                    .filter(|&idx| self.home_shard(DeviceId::new(idx as u32)) == index)
                     .count();
-                let cache = shard.engines.cache.read();
+                let cache = self.engines.cache(index);
                 let (edges, samples) = cache.stats();
                 let (live_edges, live_samples) = cache.live_stats(&epochs);
                 let colocation = store.colocation_stats();
@@ -1179,31 +926,17 @@ impl ShardedLocaterService {
             .collect()
     }
 
-    /// Eagerly evicts stale affinity edges and stale coarse models from every
+    /// Eagerly evicts epoch-stale affinity edges and coarse models from every
     /// shard, returning `(edges_evicted, models_evicted)`. Optional
     /// maintenance — queries never observe stale state either way.
     pub fn purge_stale(&self) -> (usize, usize) {
         let guards = self.read_all();
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let mut edges = 0usize;
-        let mut models_evicted = 0usize;
-        for shard in &self.shards {
-            edges += shard.engines.cache.write().purge_stale(&epochs);
-            let mut models = shard.engines.models.write();
-            let before = models.len();
-            models.retain(|&device, entry| entry.epoch == epochs.epoch_of(device));
-            models_evicted += before - models.len();
-        }
-        (edges, models_evicted)
+        self.engines.purge_stale(&views(&guards).1)
     }
 
     /// Drops all cached affinities and per-device coarse models on every shard
     /// (epochs are untouched; prefer letting epoch invalidation work instead).
     pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            shard.engines.clear_cache();
-        }
+        self.engines.clear_cache();
     }
 }
