@@ -12,10 +12,12 @@
 //!    region) are grown from the bootstrapped labels with the self-training loop of
 //!    Algorithm 1 and applied to the query gap.
 //!
-//! Training the per-device models is the expensive part, so the localizer exposes
-//! [`CoarseLocalizer::train_device_model`] separately from
-//! [`CoarseLocalizer::classify_with_model`]; the [`crate::system::Locater`] facade
-//! caches one [`DeviceCoarseModel`] per device and retrains lazily.
+//! Training the per-device models is the expensive part, so the three steps run
+//! in one place that takes the caller's cached model: every entry point of
+//! [`crate::system`] (live locates, the degraded coarse-only locate, batch
+//! workers) runs that step with the model it has cached for the device and
+//! keeps whatever model the step trained; [`CoarseLocalizer::localize`] is
+//! the same step with no cached model.
 
 use crate::coarse::bootstrap::{bootstrap_labels, BootstrapLabel, BootstrapSummary};
 use crate::coarse::features::GapFeatures;
@@ -26,6 +28,7 @@ use locater_learn::{Dataset, SelfTrainingClassifier, SelfTrainingConfig, TrainCo
 use locater_space::RegionId;
 use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Number of features of the gap feature vector (re-exported for dataset sizing).
 use crate::coarse::features::NUM_GAP_FEATURES;
@@ -207,24 +210,41 @@ impl CoarseLocalizer {
         if device.index() >= store.num_devices() {
             return Err(LocaterError::UnknownDevice(device.to_string()));
         }
-        // Step 1: covered instant.
+        Ok(self.localize_with(store, device, t_q, || None).0)
+    }
+
+    /// The coarse step for one query: a covered instant (step 1), else the
+    /// gap classified by the device model (steps 2–3), else outside, as `t_q`
+    /// lies out of the device's observed span. `candidate` is asked only when
+    /// a gap needs a model; it offers the caller's cached model, if one is
+    /// still valid for `t_q`. Without one a model is trained here and
+    /// returned alongside the outcome, so the caller can cache it.
+    pub(crate) fn localize_with(
+        &self,
+        store: &dyn EventRead,
+        device: DeviceId,
+        t_q: Timestamp,
+        candidate: impl FnOnce() -> Option<Arc<DeviceCoarseModel>>,
+    ) -> (CoarseOutcome, Option<Arc<DeviceCoarseModel>>) {
         if let Some(region) = store.covering_region(device, t_q) {
-            return Ok(CoarseOutcome::certain(
+            let outcome = CoarseOutcome::certain(
                 CoarseLabel::Inside(region),
                 CoarseMethod::CoveredByEvent,
                 None,
-            ));
+            );
+            return (outcome, None);
         }
-        // Step 2: find the gap. Outside the observed span ⇒ outside the building.
         let Some(gap) = store.gap_at(device, t_q) else {
-            return Ok(CoarseOutcome::certain(
-                CoarseLabel::Outside,
-                CoarseMethod::OutOfSpan,
-                None,
-            ));
+            let outcome =
+                CoarseOutcome::certain(CoarseLabel::Outside, CoarseMethod::OutOfSpan, None);
+            return (outcome, None);
         };
-        let model = self.train_device_model(store, device, t_q);
-        Ok(self.classify_with_model(store, &model, &gap))
+        let (model, trained) = match candidate() {
+            Some(model) => (model, false),
+            None => (Arc::new(self.train_device_model(store, device, t_q)), true),
+        };
+        let outcome = self.classify_with_model(store, &model, &gap);
+        (outcome, trained.then_some(model))
     }
 
     /// Trains the per-device classifiers over the `history` window ending at `until`.

@@ -5,7 +5,11 @@
 //! all delegate to. `Engines::locate_batch` gathers the model seeds from each
 //! device's home shard, freezes the union of the shard caches, calls
 //! `run_batch` and merges the outcome back to the owner shards; this module
-//! is the parallel middle.
+//! is the parallel middle. Each worker answers its queries with the same
+//! per-query body as a single locate (`Engines::run_query`, which runs the
+//! one coarse step, `CoarseLocalizer::localize_with`): the worker-local model
+//! map supplies the model candidate and keeps the models trained, and the
+//! frozen union is the fine step's cache plan source.
 //!
 //! The pipeline is built for determinism: results are **identical for every
 //! `jobs` value** (including the sequential `jobs = 1` path) and are returned
@@ -28,15 +32,16 @@
 //! skewed workloads still spread across the pool.
 
 use super::epoch::{EpochCache, EpochRead};
-use super::service::{Effective, Engines, ModelUse};
-use super::{assemble_answer, Answer, CacheMode};
-use crate::coarse::{CoarseLabel, DeviceCoarseModel};
+use super::service::{Effective, Engines, PlanSource};
+use super::{Answer, CacheMode};
+use crate::coarse::DeviceCoarseModel;
 use crate::error::LocaterError;
 use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use locater_store::EventRead;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One batch entry: the query time, the resolved device (or the error to
 /// report in place), and the per-request effective engine view.
@@ -63,7 +68,7 @@ pub(crate) struct BatchContribution {
 struct WorkerOutput {
     answers: Vec<(usize, Answer)>,
     contributions: Vec<BatchContribution>,
-    models: HashMap<DeviceId, DeviceCoarseModel>,
+    models: HashMap<DeviceId, Arc<DeviceCoarseModel>>,
 }
 
 /// What a batch run hands back to its caller: in-order answers, affinity
@@ -74,7 +79,7 @@ struct WorkerOutput {
 pub(crate) struct BatchOutcome {
     pub(crate) answers: Vec<Result<Answer, LocaterError>>,
     pub(crate) contributions: Vec<BatchContribution>,
-    pub(crate) trained: HashMap<DeviceId, DeviceCoarseModel>,
+    pub(crate) trained: HashMap<DeviceId, Arc<DeviceCoarseModel>>,
 }
 
 /// `true` if any resolved item may consult the caching engine — the caller
@@ -100,8 +105,8 @@ pub(crate) fn run_batch(
     epochs: &dyn EpochRead,
     items: &[BatchItem],
     jobs: usize,
-    mut seeds: HashMap<DeviceId, DeviceCoarseModel>,
-    frozen: Option<&EpochCache>,
+    mut seeds: HashMap<DeviceId, Arc<DeviceCoarseModel>>,
+    frozen: &EpochCache,
 ) -> BatchOutcome {
     if items.is_empty() {
         return BatchOutcome {
@@ -141,10 +146,10 @@ pub(crate) fn run_batch(
     // Worker-local model maps seeded from the live cache: per-device state
     // crosses into exactly one worker (so seeds move, never clone),
     // preserving sequential semantics.
-    let seeded: Vec<HashMap<DeviceId, DeviceCoarseModel>> = groups
+    let seeded: Vec<HashMap<DeviceId, Arc<DeviceCoarseModel>>> = groups
         .iter()
         .map(|indices| {
-            let mut seed: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
+            let mut seed: HashMap<DeviceId, Arc<DeviceCoarseModel>> = HashMap::new();
             for &idx in indices {
                 if let Ok(device) = items[idx].device {
                     if let Some(model) = seeds.remove(&device) {
@@ -175,7 +180,7 @@ pub(crate) fn run_batch(
     // Deterministic merge: contributions in query order, models per device.
     let mut answers: Vec<Option<Answer>> = vec![None; items.len()];
     let mut contributions: Vec<BatchContribution> = Vec::new();
-    let mut trained: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
+    let mut trained: HashMap<DeviceId, Arc<DeviceCoarseModel>> = HashMap::new();
     for output in outputs {
         for (idx, answer) in output.answers {
             answers[idx] = Some(answer);
@@ -200,55 +205,47 @@ pub(crate) fn run_batch(
     }
 }
 
-/// Answers one worker's queries (in query order) against the frozen cache,
-/// collecting answers, affinity contributions, and freshly trained models
-/// (untouched seed models are not reported back).
+/// Answers one worker's queries (in query order) through the per-query body
+/// `Engines::run_query`: the candidate model comes from the worker-local map,
+/// every fine plan reads the frozen cache, and the worker collects answers,
+/// affinity contributions, and freshly trained models (untouched seed models
+/// are not reported back).
 fn run_worker(
     engines: &Engines,
     store: &dyn EventRead,
     epochs: &dyn EpochRead,
     items: &[BatchItem],
     indices: &[usize],
-    mut models: HashMap<DeviceId, DeviceCoarseModel>,
-    cache: Option<&EpochCache>,
+    mut models: HashMap<DeviceId, Arc<DeviceCoarseModel>>,
+    cache: &EpochCache,
 ) -> WorkerOutput {
     let mut output = WorkerOutput::default();
-    let mut trained: std::collections::HashSet<DeviceId> = std::collections::HashSet::new();
     for &idx in indices {
         let item = &items[idx];
-        let device = match item.device {
-            Ok(device) => device,
-            Err(_) => continue,
-        };
-        let t_q = item.t;
-        let (coarse, model_use) = engines.coarse_outcome_in(store, &mut models, device, t_q);
-        if model_use == ModelUse::Trained {
-            trained.insert(device);
+        let Ok(device) = item.device else { continue };
+        let (answer, diagnostics, trained) = engines.run_query(
+            store,
+            epochs,
+            device,
+            item.t,
+            || models.get(&device).cloned(),
+            Some((&item.eff, PlanSource::Frozen(cache))),
+        );
+        if let Some(model) = trained {
+            models.insert(device, model.clone());
+            output.models.insert(device, model);
         }
-        let answer = match coarse.label {
-            CoarseLabel::Outside => assemble_answer(device, t_q, &coarse, None),
-            CoarseLabel::Inside(region) => {
-                let use_cache = item.eff.cache == CacheMode::Enabled;
-                let plan = cache.filter(|_| use_cache).map(|cache| {
-                    let neighbors = engines.fine_neighbors(store, &item.eff, device, t_q, region);
-                    engines.fine_plan(epochs, device, t_q, &neighbors, |_| cache)
+        if let Some(fine) = diagnostics.fine {
+            if item.eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
+                output.contributions.push(BatchContribution {
+                    query_index: idx,
+                    device,
+                    t: item.t,
+                    neighbors: fine.contributions,
                 });
-                let (mut fine, _) = engines.fine_exec(store, &item.eff, device, t_q, region, plan);
-                let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));
-                if use_cache && cache.is_some() && !fine.contributions.is_empty() {
-                    output.contributions.push(BatchContribution {
-                        query_index: idx,
-                        device,
-                        t: t_q,
-                        neighbors: std::mem::take(&mut fine.contributions),
-                    });
-                }
-                answer
             }
-        };
+        }
         output.answers.push((idx, answer));
     }
-    models.retain(|device, _| trained.contains(device));
-    output.models = models;
     output
 }

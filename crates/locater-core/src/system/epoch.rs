@@ -34,6 +34,7 @@ use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Read access to per-device ingest epochs.
 ///
@@ -108,8 +109,9 @@ impl EpochTable {
 /// A cached per-device coarse model plus the device epoch it was trained at.
 #[derive(Debug, Clone)]
 pub struct ModelEntry {
-    /// The trained model.
-    pub model: DeviceCoarseModel,
+    /// The trained model, shared so a query can take it out of the model map
+    /// and classify without holding the map's lock.
+    pub model: Arc<DeviceCoarseModel>,
     /// `epoch(device)` at training time; the entry is live while this matches.
     pub epoch: u64,
 }

@@ -41,7 +41,7 @@ pub use request::{LocateRequest, LocateResponse};
 pub use service::LocaterService;
 pub use shard::{CompactionStatus, ShardStats, ShardedLocaterService, WalStatus};
 
-use crate::coarse::{CoarseConfig, CoarseMethod, CoarseOutcome};
+use crate::coarse::{CoarseConfig, CoarseLabel, CoarseMethod, CoarseOutcome};
 use crate::error::LocaterError;
 use crate::fine::{FineConfig, FineOutcome};
 use locater_events::clock::{self, Timestamp};
@@ -309,7 +309,7 @@ impl Locater {
         let eff = self.engines.effective_base();
         Ok(self
             .engines
-            .locate_detailed(&self.store, &self.epochs, device, query.t, &eff))
+            .locate_detailed(&self.store, &self.epochs, device, query.t, Some(&eff)))
     }
 
     /// Answers a batch of queries, sharded across `jobs` worker threads.
@@ -343,33 +343,32 @@ impl Locater {
     }
 }
 
-/// Builds the [`Answer`] for one query from its coarse (and, when inside, fine)
-/// outcomes — the single place the answer/confidence composition lives, shared
-/// by the single-query and batch paths.
+/// Builds the [`Answer`] for one query from its coarse outcome and, when the
+/// fine step ran, its fine outcome — the single place the answer/confidence
+/// composition lives. An inside label without a fine outcome is the
+/// region-level answer of the degraded coarse-only locate.
 pub(crate) fn assemble_answer(
     device: DeviceId,
     t_q: Timestamp,
     coarse: &CoarseOutcome,
-    fine: Option<(&FineOutcome, RegionId)>,
+    fine: Option<&FineOutcome>,
 ) -> Answer {
-    match fine {
-        None => Answer {
-            device,
-            t: t_q,
-            location: Location::Outside,
-            coarse_method: coarse.method,
-            confidence: coarse.confidence,
+    let location = match (coarse.label, fine) {
+        (CoarseLabel::Outside, _) => Location::Outside,
+        (CoarseLabel::Inside(region), None) => Location::Region(region),
+        (CoarseLabel::Inside(region), Some(fine)) => Location::Room {
+            room: fine.room,
+            region,
         },
-        Some((fine, region)) => Answer {
-            device,
-            t: t_q,
-            location: Location::Room {
-                room: fine.room,
-                region,
-            },
-            coarse_method: coarse.method,
-            confidence: coarse.confidence * fine.confidence(),
-        },
+    };
+    Answer {
+        device,
+        t: t_q,
+        location,
+        coarse_method: coarse.method,
+        confidence: fine.map_or(coarse.confidence, |fine| {
+            coarse.confidence * fine.confidence()
+        }),
     }
 }
 

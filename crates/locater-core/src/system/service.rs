@@ -1,7 +1,9 @@
 //! The live [`LocaterService`], and the one query engine (`Engines`) that it,
 //! the [`ShardedLocaterService`] and the frozen [`Locater`](super::Locater)
-//! facade all run: the coarse → fine → cache-merge orchestration, the batch
-//! pipeline's seeding and merge-back, and the placement of cached state.
+//! facade all run: the per-query coarse → fine body (`Engines::run_query`)
+//! that single locates, degraded coarse-only locates and batch workers share,
+//! the live cache merge, the batch pipeline's seeding and merge-back, and the
+//! placement of cached state.
 //!
 //! ## Lifecycle
 //!
@@ -32,16 +34,17 @@ use super::request::{LocateRequest, LocateResponse};
 use super::shard::ShardedLocaterService;
 use super::{assemble_answer, Answer, CacheMode, LocaterConfig, QueryDiagnostics};
 use crate::cache::{edge_key, rank_by_weight};
-use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel};
+use crate::coarse::{CoarseLabel, CoarseLocalizer, DeviceCoarseModel};
 use crate::error::LocaterError;
 use crate::fine::{FineConfig, FineLocalizer, FineOutcome, NeighborContribution};
 use locater_events::clock::Timestamp;
-use locater_events::{DeviceId, EventId, Gap};
+use locater_events::{DeviceId, EventId};
 use locater_space::RegionId;
 use locater_store::{shard_of_device, EventRead, EventStore, IngestError, RawEvent};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The query engine: the configuration, the two localizers, and the cached
 /// state, partitioned by shard — one epoch-stamped affinity cache and one
@@ -98,31 +101,15 @@ pub(crate) fn resolve_target(
     }
 }
 
-/// How the coarse step used the model map for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ModelUse {
-    /// The query was answered without a model (covered / out of span).
-    NotNeeded,
-    /// A cached model was still valid and reused.
-    Reused,
-    /// A model was (re)trained for this query.
-    Trained,
-}
-
-/// The graph-derived inputs of one fine-step execution: neighbor processing
-/// order, cached pairwise affinities, and whether the graph was warm for the
-/// queried device. Extracted under the graph lock; executed lock-free.
-pub(crate) struct FinePlan {
-    order: Vec<DeviceId>,
-    cached: HashMap<DeviceId, f64>,
-    warm: bool,
-}
-
-/// Outcome of the model-free coarse checks: a trivial answer, or the gap that
-/// needs model-based classification.
-enum CoarseShortcut {
-    Trivial(CoarseOutcome),
-    Gap(Gap),
+/// Where a query's fine step reads its cache plan from.
+#[derive(Clone, Copy)]
+pub(crate) enum PlanSource<'c> {
+    /// Each edge's owner-shard cache, read-locked only while the plan is
+    /// extracted (single locates).
+    Owners,
+    /// One frozen cache holding every edge: a batch's union of the shard
+    /// caches.
+    Frozen(&'c EpochCache),
 }
 
 impl Engines {
@@ -181,74 +168,48 @@ impl Engines {
         }
     }
 
-    /// Answers one query, returning the answer and per-query diagnostics.
-    /// Coarse and model state come from the queried device's home shard;
-    /// fine-step cache reads and writes route to each edge's owner shard.
+    /// Answers one query against the live state through
+    /// [`Engines::run_query`]: the model candidate is the device's home-shard
+    /// model if still epoch-live, a model trained for the query goes back
+    /// there stamped with the device's epoch, and the fine step's cache reads
+    /// and writes route to each edge's owner shard. `eff = None` is the
+    /// degraded coarse-only locate: a region-level answer, no cache touched.
+    ///
+    /// The home shard's model-map lock covers the lookup and the insert only,
+    /// so warm queries never wait on a concurrent fit. Training does run under
+    /// whatever store guard the caller holds (the services hold every shard's
+    /// read guard; see the ROADMAP item "Take coarse-model training off the
+    /// hot path").
     pub(crate) fn locate_detailed(
         &self,
         store: &dyn EventRead,
         epochs: &dyn EpochRead,
         device: DeviceId,
         t_q: Timestamp,
-        eff: &Effective,
+        eff: Option<&Effective>,
     ) -> (Answer, QueryDiagnostics) {
         let start = Instant::now();
-
-        // ---- Coarse step --------------------------------------------------
-        let (coarse, model_reused) = self.coarse_outcome(store, epochs, device, t_q);
-        let region = match coarse.label {
-            CoarseLabel::Outside => {
-                let answer = assemble_answer(device, t_q, &coarse, None);
-                let diagnostics = QueryDiagnostics {
-                    coarse,
-                    fine: None,
-                    elapsed: start.elapsed(),
-                    coarse_model_reused: model_reused,
-                    cache_warm: false,
-                };
-                return (answer, diagnostics);
-            }
-            CoarseLabel::Inside(region) => region,
+        let epoch = epochs.epoch_of(device);
+        let models = &self.models[self.home(device)];
+        let candidate = || {
+            let models = models.read();
+            let entry = models.get(&device).filter(|entry| entry.epoch == epoch);
+            entry.map(|entry| entry.model.clone())
         };
-
-        // ---- Fine step ----------------------------------------------------
-        // The neighbor scan and the fine localization take no cache lock; the
-        // owner caches' read guards cover only the plan extraction between
-        // them, taken once each in ascending shard order.
-        let plan = match eff.cache {
-            CacheMode::Enabled => {
-                let neighbors = self.fine_neighbors(store, eff, device, t_q, region);
-                let mut needed = vec![false; self.num_shards()];
-                for &neighbor in &neighbors {
-                    needed[self.owner(device, neighbor)] = true;
-                }
-                let guards: Vec<Option<RwLockReadGuard<'_, EpochCache>>> = self
-                    .caches
-                    .iter()
-                    .zip(&needed)
-                    .map(|(cache, &needed)| needed.then(|| cache.read()))
-                    .collect();
-                Some(self.fine_plan(epochs, device, t_q, &neighbors, |neighbor| {
-                    guards[self.owner(device, neighbor)]
-                        .as_deref()
-                        .expect("owner cache guard was taken above")
-                }))
-            }
-            CacheMode::Disabled => None,
-        };
-        let (fine, cache_warm) = self.fine_exec(store, eff, device, t_q, region, plan);
-        if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
-            self.merge_contributions(device, &fine.contributions, t_q, epochs);
+        let fine = eff.map(|eff| (eff, PlanSource::Owners));
+        let (answer, mut diagnostics, trained) =
+            self.run_query(store, epochs, device, t_q, candidate, fine);
+        if let Some(model) = trained {
+            models.write().insert(device, ModelEntry { model, epoch });
         }
-
-        let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));
-        let diagnostics = QueryDiagnostics {
-            coarse,
-            fine: Some(fine),
-            elapsed: start.elapsed(),
-            coarse_model_reused: model_reused,
-            cache_warm,
-        };
+        if let (Some(eff), Some(fine)) = (eff, &diagnostics.fine) {
+            if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
+                self.merge_contributions(device, &fine.contributions, t_q, epochs);
+            }
+        }
+        // The reported time spans the whole locate, model insert and cache
+        // merge included.
+        diagnostics.elapsed = start.elapsed();
         (answer, diagnostics)
     }
 
@@ -264,7 +225,7 @@ impl Engines {
         items: &[BatchItem],
         jobs: usize,
     ) -> Vec<Result<Answer, LocaterError>> {
-        let mut seeds: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
+        let mut seeds: HashMap<DeviceId, Arc<DeviceCoarseModel>> = HashMap::new();
         for item in items {
             let Ok(device) = item.device else { continue };
             if seeds.contains_key(&device) {
@@ -278,15 +239,18 @@ impl Engines {
         }
 
         // Edge sets are disjoint across shards, so the union is exactly the
-        // cache a single-shard deployment would hold.
-        let frozen: Option<EpochCache> = batch::wants_cache(items).then(|| {
+        // cache a single-shard deployment would hold. A batch that never
+        // consults the cache skips the copy and reads an empty one.
+        let frozen = if batch::wants_cache(items) {
             let mut caches = self.caches.iter().map(|cache| cache.read().clone());
             let mut union = caches.next().expect("at least one shard");
             caches.for_each(|cache| union.absorb(cache));
             union
-        });
+        } else {
+            EpochCache::default()
+        };
 
-        let outcome = batch::run_batch(self, store, epochs, items, jobs, seeds, frozen.as_ref());
+        let outcome = batch::run_batch(self, store, epochs, items, jobs, seeds, &frozen);
         for contribution in &outcome.contributions {
             self.merge_contributions(
                 contribution.device,
@@ -304,145 +268,115 @@ impl Engines {
         outcome.answers
     }
 
-    /// Runs the coarse step, reusing the cached per-device model when it is
-    /// still epoch-live and covers the query time. Returns the outcome and
-    /// whether the model was reused.
+    /// The one per-query body that every locate, degraded locate and batch
+    /// worker runs. First the coarse step, classifying a gap with the
+    /// caller's model `candidate` if it still covers `t_q`, else with a
+    /// freshly trained one. Then, when `fine` is given and the device is
+    /// inside, the fine step with its cache plan read from `fine`'s source.
     ///
-    /// The reuse check and the insert of a fresh model take the home shard's
-    /// model-map lock only briefly; training runs without it, so warm queries
-    /// never wait on a concurrent fit. Training does run under whatever store
-    /// guard the caller holds (the services hold every shard's read guard;
-    /// see the ROADMAP item "Take coarse-model training off the hot path").
-    pub(crate) fn coarse_outcome(
+    /// Returns the answer, the diagnostics and the model trained for this
+    /// query, if any. Where cached state lives is the caller's business: it
+    /// keeps the trained model and merges `diagnostics.fine`'s contributions.
+    /// The diagnostics' `elapsed` is zero, for a caller that reports time to
+    /// stamp over the whole call.
+    pub(crate) fn run_query(
         &self,
         store: &dyn EventRead,
         epochs: &dyn EpochRead,
         device: DeviceId,
         t_q: Timestamp,
-    ) -> (CoarseOutcome, bool) {
-        let gap = match self.coarse_shortcut(store, device, t_q) {
-            CoarseShortcut::Trivial(outcome) => return (outcome, false),
-            CoarseShortcut::Gap(gap) => gap,
+        candidate: impl FnOnce() -> Option<Arc<DeviceCoarseModel>>,
+        fine: Option<(&Effective, PlanSource<'_>)>,
+    ) -> (Answer, QueryDiagnostics, Option<Arc<DeviceCoarseModel>>) {
+        let slack = self.config.model_refresh_slack;
+        let covers = |model: &Arc<DeviceCoarseModel>| {
+            t_q >= model.history.start && t_q <= model.history.end + slack
         };
-        let epoch = epochs.epoch_of(device);
-        let models = &self.models[self.home(device)];
-        {
-            let models = models.read();
-            if let Some(entry) = models.get(&device) {
-                if entry.epoch == epoch && self.model_covers(&entry.model, t_q) {
-                    return (
-                        self.coarse.classify_with_model(store, &entry.model, &gap),
-                        true,
-                    );
-                }
+        let (coarse, trained) = self
+            .coarse
+            .localize_with(store, device, t_q, || candidate().filter(covers));
+        let (fine, cache_warm) = match (coarse.label, fine) {
+            (CoarseLabel::Inside(region), Some(fine)) => {
+                let (outcome, warm) = self.fine_step(store, epochs, device, t_q, region, fine);
+                (Some(outcome), warm)
             }
-        }
-        // Classify with the model just trained — never a re-read of the shared
-        // map, which a concurrent query for the same device at a different
-        // time could have overwritten with a model that does not cover `t_q`.
-        let model = self.coarse.train_device_model(store, device, t_q);
-        let outcome = self.coarse.classify_with_model(store, &model, &gap);
-        models.write().insert(device, ModelEntry { model, epoch });
-        (outcome, false)
-    }
-    /// `true` if a cached model is still valid for a query at `t_q` (time
-    /// coverage only; epoch liveness is checked by the callers).
-    pub(crate) fn model_covers(&self, model: &DeviceCoarseModel, t_q: Timestamp) -> bool {
-        t_q >= model.history.start && t_q <= model.history.end + self.config.model_refresh_slack
-    }
-
-    /// The model-free coarse answers (covered by an event, out of the log
-    /// span), or the gap that needs model-based classification.
-    fn coarse_shortcut(
-        &self,
-        store: &dyn EventRead,
-        device: DeviceId,
-        t_q: Timestamp,
-    ) -> CoarseShortcut {
-        if let Some(region) = store.covering_region(device, t_q) {
-            return CoarseShortcut::Trivial(CoarseOutcome {
-                label: CoarseLabel::Inside(region),
-                method: CoarseMethod::CoveredByEvent,
-                confidence: 1.0,
-                gap: None,
-            });
-        }
-        match store.gap_at(device, t_q) {
-            Some(gap) => CoarseShortcut::Gap(gap),
-            None => CoarseShortcut::Trivial(CoarseOutcome {
-                label: CoarseLabel::Outside,
-                method: CoarseMethod::OutOfSpan,
-                confidence: 1.0,
-                gap: None,
-            }),
-        }
-    }
-
-    /// Runs the coarse step against an explicit model map (a shard-local map in
-    /// the batch pipeline). Returns the outcome and how the model map was used,
-    /// so callers can tell freshly trained models from untouched seeds.
-    pub(crate) fn coarse_outcome_in(
-        &self,
-        store: &dyn EventRead,
-        models: &mut HashMap<DeviceId, DeviceCoarseModel>,
-        device: DeviceId,
-        t_q: Timestamp,
-    ) -> (CoarseOutcome, ModelUse) {
-        let gap = match self.coarse_shortcut(store, device, t_q) {
-            CoarseShortcut::Trivial(outcome) => return (outcome, ModelUse::NotNeeded),
-            CoarseShortcut::Gap(gap) => gap,
+            _ => (None, false),
         };
-        let reused = models
-            .get(&device)
-            .is_some_and(|model| self.model_covers(model, t_q));
-        if !reused {
-            let model = self.coarse.train_device_model(store, device, t_q);
-            models.insert(device, model);
-        }
-        let model = models
-            .get(&device)
-            .expect("model was inserted above if missing");
-        let outcome = self.coarse.classify_with_model(store, model, &gap);
-        let usage = if reused {
-            ModelUse::Reused
-        } else {
-            ModelUse::Trained
+        let answer = assemble_answer(device, t_q, &coarse, fine.as_ref());
+        let diagnostics = QueryDiagnostics {
+            coarse,
+            fine,
+            elapsed: Duration::ZERO,
+            // A gap classified without training used the caller's model.
+            coarse_model_reused: coarse.gap.is_some() && trained.is_none(),
+            cache_warm,
         };
-        (outcome, usage)
+        (answer, diagnostics, trained)
     }
 
-    /// The neighbor devices eligible for the fine step — a store scan that
-    /// needs no lock.
-    pub(crate) fn fine_neighbors(
+    /// The fine step for a device inside `region`. With the cache enabled it
+    /// scans the neighbors, extracts the plan from `source`, and localizes
+    /// with it; only the extraction takes cache locks. Returns the outcome
+    /// and whether the affinity graph was warm for the queried device.
+    fn fine_step(
         &self,
         store: &dyn EventRead,
-        eff: &Effective,
+        epochs: &dyn EpochRead,
         device: DeviceId,
         t_q: Timestamp,
         region: RegionId,
-    ) -> Vec<DeviceId> {
-        eff.fine
+        (eff, source): (&Effective, PlanSource<'_>),
+    ) -> (FineOutcome, bool) {
+        if eff.cache == CacheMode::Disabled {
+            return (eff.fine.locate(store, device, t_q, region, None), false);
+        }
+        let neighbors: Vec<DeviceId> = eff
+            .fine
             .candidate_neighbors(store, device, t_q, region)
             .into_iter()
             .map(|(d, _)| d)
-            .collect()
+            .collect();
+        let (order, cached, warm) = match source {
+            PlanSource::Frozen(cache) => self.fine_plan(epochs, device, t_q, &neighbors, |_| cache),
+            PlanSource::Owners => {
+                // One read guard per owner cache, in ascending shard order.
+                let mut needed = vec![false; self.num_shards()];
+                for &neighbor in &neighbors {
+                    needed[self.owner(device, neighbor)] = true;
+                }
+                let guards: Vec<Option<RwLockReadGuard<'_, EpochCache>>> = self
+                    .caches
+                    .iter()
+                    .zip(&needed)
+                    .map(|(cache, &needed)| needed.then(|| cache.read()))
+                    .collect();
+                self.fine_plan(epochs, device, t_q, &neighbors, |neighbor| {
+                    guards[self.owner(device, neighbor)]
+                        .as_deref()
+                        .expect("owner cache guard was taken above")
+                })
+            }
+        };
+        let lookup = move |neighbor: DeviceId| cached.get(&neighbor).copied();
+        let fine =
+            eff.fine
+                .locate_with_cache(store, device, t_q, region, Some(&order), Some(&lookup));
+        (fine, warm)
     }
 
     /// Extracts what the fine step needs from the affinity graph: the neighbor
     /// processing order, cached pairwise affinities (which replace the per-pair
-    /// history scans of cold queries), and cache warmth. Only epoch-live edges
-    /// are visible. `cache_of(n)` is the cache holding the edge `{device, n}`:
-    /// the owner shard's guarded cache on the live path, the frozen union in a
-    /// batch. Callers hold cache locks only for this extraction; the neighbor
-    /// scan ([`Engines::fine_neighbors`]) and [`Engines::fine_exec`] take none.
-    pub(crate) fn fine_plan<'c>(
+    /// history scans of cold queries), and whether the graph was warm for
+    /// `device`. Only epoch-live edges are visible. `cache_of(n)` is the cache
+    /// holding the edge `{device, n}`.
+    fn fine_plan<'c>(
         &self,
         epochs: &dyn EpochRead,
         device: DeviceId,
         t_q: Timestamp,
         neighbors: &[DeviceId],
         cache_of: impl Fn(DeviceId) -> &'c EpochCache,
-    ) -> FinePlan {
+    ) -> (Vec<DeviceId>, HashMap<DeviceId, f64>, bool) {
         let warm = neighbors
             .iter()
             .any(|&n| !cache_of(n).samples(device, n, epochs).is_empty());
@@ -455,42 +389,12 @@ impl Engines {
             })
             .collect();
         let order = rank_by_weight(neighbors, |n| cache_of(n).weight(device, n, t_q, epochs));
-        FinePlan {
-            order,
-            cached,
-            warm,
-        }
-    }
-
-    /// Runs the fine step with an optional cache plan. Returns the outcome and
-    /// whether the affinity graph was warm for the queried device.
-    pub(crate) fn fine_exec(
-        &self,
-        store: &dyn EventRead,
-        eff: &Effective,
-        device: DeviceId,
-        t_q: Timestamp,
-        region: RegionId,
-        plan: Option<FinePlan>,
-    ) -> (FineOutcome, bool) {
-        let Some(FinePlan {
-            order,
-            cached,
-            warm,
-        }) = plan
-        else {
-            return (eff.fine.locate(store, device, t_q, region, None), false);
-        };
-        let lookup = move |neighbor: DeviceId| cached.get(&neighbor).copied();
-        let fine =
-            eff.fine
-                .locate_with_cache(store, device, t_q, region, Some(&order), Some(&lookup));
-        (fine, warm)
+        (order, cached, warm)
     }
 
     /// Merges one answered query's local affinity graph into the owner
     /// shards' caches (one write lock per owner, in ascending shard order).
-    pub(crate) fn merge_contributions(
+    fn merge_contributions(
         &self,
         center: DeviceId,
         contributions: &[NeighborContribution],

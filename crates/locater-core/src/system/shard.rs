@@ -40,8 +40,7 @@ use super::batch::BatchItem;
 use super::epoch::{EpochRead, EpochTable};
 use super::request::{LocateRequest, LocateResponse};
 use super::service::{resolve_target, Engines, ShardedEpochs};
-use super::{Answer, LocaterConfig, Location};
-use crate::coarse::CoarseLabel;
+use super::LocaterConfig;
 use crate::error::LocaterError;
 use locater_events::clock::Timestamp;
 use locater_events::validity::estimate_delta_events;
@@ -164,6 +163,15 @@ fn views<'a>(guards: &'a [RwLockReadGuard<'_, ShardLive>]) -> (ShardedRead<'a>, 
         tables: guards.iter().map(|guard| &guard.epochs).collect(),
     };
     (view, epochs)
+}
+
+/// One store holding every shard partition's events: a clone when there is
+/// one shard, else [`EventStore::rejoin`].
+fn combined_store(stores: Vec<&EventStore>) -> EventStore {
+    match stores.as_slice() {
+        [only] => (*only).clone(),
+        _ => EventStore::rejoin(stores).expect("shards of one service always rejoin"),
+    }
 }
 
 /// The sharded live LOCATER service: online ingestion + query answering over
@@ -517,51 +525,39 @@ impl ShardedLocaterService {
 
     /// Answers one request over the multi-shard view. Holds every shard's read
     /// lock for the duration of the query (acquired in ascending order), so
-    /// concurrent queries proceed in parallel and ingests are only delayed by
-    /// in-flight queries touching their shard.
+    /// concurrent queries proceed in parallel, but an ingest on any shard
+    /// waits for every in-flight query, coarse-model training included.
     pub fn locate(&self, request: &LocateRequest) -> Result<LocateResponse, LocaterError> {
-        let guards = self.read_all();
-        let (view, epochs) = views(&guards);
-        let device = resolve_target(&view, request.mac.as_deref(), request.device)?;
-        let eff = self.engines.effective_for(request);
-        let (answer, diagnostics) = self
-            .engines
-            .locate_detailed(&view, &epochs, device, request.t, &eff);
-        Ok(LocateResponse {
-            answer,
-            device_epoch: epochs.epoch_of(device),
-            events_seen: view.num_events(),
-            diagnostics: request.diagnostics.then_some(diagnostics),
-        })
+        self.answer(request, true)
     }
 
     /// Answers one request with the coarse step only — the *degraded* path a
     /// server takes when a request's deadline has already expired: the room
-    /// stays unknown ([`Location::Region`]) but the caller still learns
-    /// whether the device was inside and where, at coarse-step cost (no
-    /// neighbor scan, no fine-step iterations, no cache writes).
+    /// stays unknown ([`Location::Region`](super::Location::Region)) but the
+    /// caller still learns whether the device was inside and where, at
+    /// coarse-step cost (no neighbor scan, no fine-step iterations, no cache
+    /// writes). It reuses and caches coarse models exactly like
+    /// [`Self::locate`].
     pub fn locate_coarse(&self, request: &LocateRequest) -> Result<LocateResponse, LocaterError> {
+        self.answer(request, false)
+    }
+
+    /// [`Self::locate`] (`fine = true`) or [`Self::locate_coarse`]: the same
+    /// engine call, with or without the fine step. Coarse-only responses
+    /// carry no diagnostics.
+    fn answer(&self, request: &LocateRequest, fine: bool) -> Result<LocateResponse, LocaterError> {
         let guards = self.read_all();
         let (view, epochs) = views(&guards);
         let device = resolve_target(&view, request.mac.as_deref(), request.device)?;
-        let (coarse, _model_reused) = self
-            .engines
-            .coarse_outcome(&view, &epochs, device, request.t);
-        let answer = Answer {
-            device,
-            t: request.t,
-            location: match coarse.label {
-                CoarseLabel::Outside => Location::Outside,
-                CoarseLabel::Inside(region) => Location::Region(region),
-            },
-            coarse_method: coarse.method,
-            confidence: coarse.confidence,
-        };
+        let eff = self.engines.effective_for(request);
+        let (answer, diagnostics) =
+            self.engines
+                .locate_detailed(&view, &epochs, device, request.t, fine.then_some(&eff));
         Ok(LocateResponse {
             answer,
             device_epoch: epochs.epoch_of(device),
             events_seen: view.num_events(),
-            diagnostics: None,
+            diagnostics: (fine && request.diagnostics).then_some(diagnostics),
         })
     }
 
@@ -640,12 +636,7 @@ impl ShardedLocaterService {
     /// over the same events would hold. Useful for rebuild-equivalence checks
     /// and snapshots.
     pub fn store_snapshot(&self) -> EventStore {
-        let guards = self.read_all();
-        if guards.len() == 1 {
-            return guards[0].store.clone();
-        }
-        EventStore::rejoin(guards.iter().map(|guard| &guard.store))
-            .expect("shards of one service always rejoin")
+        combined_store(self.read_all().iter().map(|guard| &guard.store).collect())
     }
 
     /// Persists the combined store as one binary snapshot — the same file a
@@ -671,12 +662,7 @@ impl ShardedLocaterService {
             return Ok(None);
         };
         let mut guards = self.write_all();
-        let combined = if guards.len() == 1 {
-            guards[0].store.clone()
-        } else {
-            EventStore::rejoin(guards.iter().map(|guard| &guard.store))
-                .expect("shards of one service always rejoin")
-        };
+        let combined = combined_store(guards.iter().map(|guard| &guard.store).collect());
         let bytes = write_checkpoint_io(&durability.dir, &combined, durability.io.as_ref())?;
         for guard in guards.iter_mut() {
             if let Some(wal) = guard.wal.as_mut() {
